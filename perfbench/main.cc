@@ -2,7 +2,6 @@
 //
 //   hydra_perfbench --workload <disk-exact|mem-approx|wire-dup> --seed N
 //                   --seconds S --trace <0|1> --work-dir DIR
-//                   [--wire-dup-qps R]
 //
 // Generates the workload's series and queries from --seed, sets up a
 // HydraServer on 127.0.0.1 over a DSTree index, drives it through
@@ -22,14 +21,12 @@
 #include <unistd.h>
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <deque>
 #include <memory>
-#include <mutex>
 #include <optional>
 #include <string>
 #include <thread>
@@ -68,7 +65,7 @@ constexpr size_t kK = 10;
 // Set-ups per run: at least kMinSetups, then more until kSetupBudgetS has
 // passed, at most kMaxSetups; setup_s is their median.
 constexpr size_t kMinSetups = 3;
-constexpr size_t kMaxSetups = 15;
+constexpr size_t kMaxSetups = 41;
 constexpr double kSetupBudgetS = 1.0;
 // Seed stream of every workload's collection. The collection is fixed,
 // like a paper's dataset; --seed draws the queries and their order. With
@@ -93,11 +90,10 @@ struct Workload {
   size_t connections = 2;
   size_t server_concurrency = 1;  // per connection
   size_t batch_window = 1;
-  double open_loop_qps = 0;  // 0 = closed loop, one query outstanding
+  size_t outstanding = 1;  // queries in flight per connection
 };
 
-std::optional<Workload> MakeWorkload(const std::string& name,
-                                     double wire_dup_qps) {
+std::optional<Workload> MakeWorkload(const std::string& name) {
   Workload w;
   w.name = name;
   w.params.k = kK;
@@ -124,7 +120,7 @@ std::optional<Workload> MakeWorkload(const std::string& name,
     w.connections = 3;
     w.server_concurrency = 2;
     w.batch_window = 4;
-    w.open_loop_qps = wire_dup_qps;
+    w.outstanding = 2;
   } else {
     return std::nullopt;
   }
@@ -339,8 +335,11 @@ struct Expected {
 };
 
 struct LoadResult {
-  std::vector<double> latency_ms;  // OK queries, client-observed
-  std::vector<uint64_t> done_ns;   // completion time of each OK query
+  // Per OK query, as floats to keep the benchmark's own footprint out of
+  // peak_rss_mb: client-observed latency, and completion time in seconds
+  // since start_ns.
+  std::vector<float> latency_ms;
+  std::vector<float> done_s;
   uint64_t attempted = 0;
   uint64_t failed = 0;      // typed error, refused submission, lost reply
   uint64_t mismatched = 0;  // OK answers that differ from the reference
@@ -348,7 +347,6 @@ struct LoadResult {
   double recall_sum = 0;
   double server_seconds_sum = 0;  // ServedQuery::seconds of OK queries
   uint64_t coalesced = 0;         // ServingStats, summed over connections
-  std::vector<double> gen_lag_ms;
   uint64_t start_ns = 0;
   uint64_t last_done_ns = 0;
   std::vector<std::string> errors;
@@ -360,10 +358,8 @@ struct LoadResult {
     const double wall = WallSeconds();
     return wall > 0 ? ok / wall : 0;
   }
+  // Adds o's counts; the samples stay with o.
   void Merge(const LoadResult& o) {
-    latency_ms.insert(latency_ms.end(), o.latency_ms.begin(),
-                      o.latency_ms.end());
-    done_ns.insert(done_ns.end(), o.done_ns.begin(), o.done_ns.end());
     attempted += o.attempted;
     failed += o.failed;
     mismatched += o.mismatched;
@@ -371,8 +367,6 @@ struct LoadResult {
     recall_sum += o.recall_sum;
     server_seconds_sum += o.server_seconds_sum;
     coalesced += o.coalesced;
-    gen_lag_ms.insert(gen_lag_ms.end(), o.gen_lag_ms.begin(),
-                      o.gen_lag_ms.end());
     last_done_ns = std::max(last_done_ns, o.last_done_ns);
     errors.insert(errors.end(), o.errors.begin(), o.errors.end());
   }
@@ -395,8 +389,8 @@ void Score(const std::optional<hydra::ServedQuery>& served, uint32_t tmpl,
   ++r->ok;
   r->recall_sum += hydra::RecallAt((*e.truth)[tmpl], answer, kK);
   r->server_seconds_sum += served->seconds;
-  r->latency_ms.push_back((done_ns - begin_ns) * 1e-6);
-  r->done_ns.push_back(done_ns);
+  r->latency_ms.push_back(static_cast<float>((done_ns - begin_ns) * 1e-6));
+  r->done_s.push_back(static_cast<float>((done_ns - r->start_ns) * 1e-9));
   r->last_done_ns = std::max(r->last_done_ns, done_ns);
   if (Enabled()) {
     RecordSpan("net.query", RequestId(connection, served->ticket.id()),
@@ -422,13 +416,15 @@ void AddCoalesced(hydra::HydraClient& client, LoadResult* r) {
   }
 }
 
-// Closed loop: each connection sends its next query when the previous
-// one has come back.
+// Closed loop: each connection keeps `outstanding` queries in flight and
+// sends the next one when the oldest has come back. Replies arrive in
+// submission order, so each is timed from its own Submit.
 LoadResult RunClosedLoop(uint16_t port, const Workload& w, const Expected& e,
                          double seconds, uint64_t order_seed) {
   const uint64_t start = NowNs();
   const uint64_t end = start + static_cast<uint64_t>(seconds * 1e9);
   std::vector<LoadResult> per(w.connections);
+  for (LoadResult& r : per) r.start_ns = start;
   std::vector<std::thread> threads;
   for (size_t c = 0; c < w.connections; ++c) {
     threads.emplace_back([&, c] {
@@ -438,19 +434,29 @@ LoadResult RunClosedLoop(uint16_t port, const Workload& w, const Expected& e,
       const std::vector<uint32_t> order = TiledOrder(
           w.distinct_queries, w.distinct_queries * 4,
           StreamSeed(order_seed, c));
-      for (size_t i = 0; NowNs() < end; ++i) {
-        const uint32_t tmpl = order[i % order.size()];
-        const uint64_t t0 = NowNs();
+      std::deque<std::pair<uint64_t, uint32_t>> sent;  // Submit time, template
+      size_t next = 0;
+      bool refused = false;
+      const auto send = [&] {
+        const uint32_t tmpl = order[next++ % order.size()];
         ++r.attempted;
-        hydra::QueryTicket ticket =
-            client->Submit(e.queries->series(tmpl), w.params);
-        if (!ticket.valid()) {
+        const uint64_t t0 = NowNs();
+        if (!client->Submit(e.queries->series(tmpl), w.params).valid()) {
           ++r.failed;
           r.errors.push_back("submission refused");
-          break;
+          refused = true;
+          return;
         }
+        sent.emplace_back(t0, tmpl);
+      };
+      while (!refused && sent.size() < w.outstanding) send();
+      while (!sent.empty()) {
         auto served = client->Next();
-        Score(served, tmpl, c, e, t0, NowNs(), &r);
+        const uint64_t done = NowNs();
+        const auto [t0, tmpl] = sent.front();
+        sent.pop_front();
+        Score(served, tmpl, c, e, t0, done, &r);
+        if (!refused && done < end) send();
       }
       AddCoalesced(*client, &r);
       client->Finish();
@@ -461,88 +467,14 @@ LoadResult RunClosedLoop(uint16_t port, const Workload& w, const Expected& e,
   for (auto& t : threads) t.join();
   LoadResult total;
   total.start_ns = start;
-  for (const LoadResult& r : per) total.Merge(r);
+  for (LoadResult& r : per) {
+    total.Merge(r);
+    total.latency_ms.insert(total.latency_ms.end(), r.latency_ms.begin(),
+                            r.latency_ms.end());
+    total.done_s.insert(total.done_s.end(), r.done_s.begin(), r.done_s.end());
+    r = LoadResult();
+  }
   return total;
-}
-
-// Open loop: one generator releases queries on a fixed schedule,
-// round-robin over the connections; each query is timed from its
-// scheduled send time, so a stall is charged to every query it delays.
-LoadResult RunOpenLoop(uint16_t port, const Workload& w, const Expected& e,
-                       double seconds, uint64_t order_seed) {
-  struct Lane {
-    std::unique_ptr<hydra::HydraClient> client;
-    std::mutex mu;
-    std::deque<std::pair<uint64_t, uint32_t>> due;  // guarded by mu
-    LoadResult result;
-  };
-  LoadResult total;
-  std::vector<Lane> lanes(w.connections);
-  for (Lane& lane : lanes) {
-    lane.client = Connect(port, &total);
-    if (lane.client == nullptr) return total;
-  }
-  std::vector<std::thread> drains;
-  for (size_t c = 0; c < lanes.size(); ++c) {
-    drains.emplace_back([&lane = lanes[c], &e, c] {
-      while (true) {
-        auto served = lane.client->Next();
-        const uint64_t done = NowNs();
-        if (!served.has_value()) return;
-        std::pair<uint64_t, uint32_t> due;
-        {
-          std::lock_guard<std::mutex> lock(lane.mu);
-          due = lane.due.front();
-          lane.due.pop_front();
-        }
-        Score(served, due.second, c, e, due.first, done, &lane.result);
-      }
-    });
-  }
-
-  const double interval_ns = 1e9 / w.open_loop_qps;
-  const size_t total_queries =
-      static_cast<size_t>(seconds * w.open_loop_qps);
-  const std::vector<uint32_t> order =
-      TiledOrder(w.distinct_queries, total_queries, order_seed);
-  const uint64_t start = NowNs();
-  for (size_t i = 0; i < total_queries; ++i) {
-    const uint64_t due = start + static_cast<uint64_t>(i * interval_ns);
-    uint64_t now = NowNs();
-    if (now < due) {
-      std::this_thread::sleep_for(std::chrono::nanoseconds(due - now));
-      now = NowNs();
-    }
-    total.gen_lag_ms.push_back(now > due ? (now - due) * 1e-6 : 0.0);
-    Lane& lane = lanes[i % lanes.size()];
-    const uint32_t tmpl = order[i];
-    {
-      std::lock_guard<std::mutex> lock(lane.mu);
-      lane.due.emplace_back(due, tmpl);
-    }
-    ++total.attempted;
-    if (!lane.client->Submit(e.queries->series(tmpl), w.params).valid()) {
-      // No result will come for a refused submission: withdraw its slot.
-      std::lock_guard<std::mutex> lock(lane.mu);
-      lane.due.pop_back();
-      ++total.failed;
-    }
-  }
-  for (Lane& lane : lanes) {
-    // Stats before Finish: the connection's session is still open.
-    AddCoalesced(*lane.client, &total);
-    lane.client->Finish();
-  }
-  for (auto& t : drains) t.join();
-  total.start_ns = start;
-  for (Lane& lane : lanes) total.Merge(lane.result);
-  return total;
-}
-
-LoadResult RunLoad(uint16_t port, const Workload& w, const Expected& e,
-                   double seconds, uint64_t order_seed) {
-  return w.open_loop_qps > 0 ? RunOpenLoop(port, w, e, seconds, order_seed)
-                             : RunClosedLoop(port, w, e, seconds, order_seed);
 }
 
 // ---------------------------------------------------------------------------
@@ -593,6 +525,19 @@ bool SameCounts(const std::vector<QueryCounters>& a,
   return true;
 }
 
+// FNV-1a over the raw counters, printed so that runs of one seed can be
+// compared across processes.
+uint64_t CountsDigest(const std::vector<QueryCounters>& counts) {
+  uint64_t h = 0xcbf29ce484222325ull;
+  for (const QueryCounters& c : counts) {
+    const auto* bytes = reinterpret_cast<const unsigned char*>(&c);
+    for (size_t i = 0; i < sizeof(QueryCounters); ++i) {
+      h = (h ^ bytes[i]) * 0x100000001b3ull;
+    }
+  }
+  return h;
+}
+
 // Consumes the timed kernels' results so the loops cannot be elided.
 volatile double g_kernel_sink = 0;
 
@@ -635,7 +580,8 @@ std::pair<double, double> KernelNsPerEval(const Dataset& data) {
 // Reporting.
 // ---------------------------------------------------------------------------
 
-double Percentile(std::vector<double> v, double p) {
+template <typename T>
+double Percentile(std::vector<T> v, double p) {
   if (v.empty()) return 0;
   std::sort(v.begin(), v.end());
   size_t rank = static_cast<size_t>(std::ceil(p * v.size()));
@@ -655,18 +601,12 @@ double Quantile(std::vector<double> v, double q) {
 
 double Median(std::vector<double> v) { return Quantile(std::move(v), 0.5); }
 
-// Throughput and latency of a load, over equal time slices of its
+// Throughput and median latency of a load, over equal time slices of its
 // duration. A slice lasts at least kMinSliceSeconds and holds at least
-// kMinSliceSamples completions, so its p99 has ten samples beyond it; a
-// load too short for two such slices is reported whole. qps and p50 are
-// the medians over slices. p99 is the lower quartile of the slices' p99s:
-// on a shared host the VM loses its CPUs for a few milliseconds several
-// times a second, which sets the p99 of up to half the 100 ms slices of a
-// sub-millisecond workload, so even the median slice flips between a
-// stalled and a clean one from run to run. The lower quartile is the tail
-// of a typical unstalled interval. Workloads whose queries take
-// milliseconds have near-equal slices, and there it is close to the
-// whole-run p99.
+// kMinSliceSamples completions; a load too short for two such slices is
+// reported whole. qps and p50 are the medians over slices, so a brief
+// host stall moves one slice, not the run. p99 is the whole load's: every
+// OK query of the measured window counts, stalls included.
 constexpr size_t kMinSliceSamples = 1000;
 constexpr double kMinSliceSeconds = 0.1;
 
@@ -674,7 +614,7 @@ struct SliceStats {
   double qps = 0;
   double p50_ms = 0;
   double p99_ms = 0;
-  std::vector<double> slice_p99_ms;
+  std::vector<double> slice_p99_ms;  // for diagnosis only
 };
 
 SliceStats Sliced(const LoadResult& r) {
@@ -684,9 +624,9 @@ SliceStats Sliced(const LoadResult& r) {
   const size_t count = std::max<size_t>(
       1, std::min<size_t>(n / kMinSliceSamples,
                           static_cast<size_t>(wall / kMinSliceSeconds)));
-  std::vector<std::vector<double>> slices(count);
+  std::vector<std::vector<float>> slices(count);
   for (size_t i = 0; i < n; ++i) {
-    const double at_s = (r.done_ns[i] - r.start_ns) * 1e-9;
+    const double at_s = r.done_s[i];
     const size_t slice =
         std::min(count - 1, static_cast<size_t>(at_s / wall * count));
     slices[slice].push_back(r.latency_ms[i]);
@@ -699,7 +639,7 @@ SliceStats Sliced(const LoadResult& r) {
     p50.push_back(Percentile(slice, 0.50));
     p99.push_back(Percentile(slice, 0.99));
   }
-  return {Median(qps), Median(p50), Quantile(p99, 0.25), p99};
+  return {Median(qps), Median(p50), Percentile(r.latency_ms, 0.99), p99};
 }
 
 double PeakRssMb() {
@@ -837,7 +777,6 @@ struct Args {
   double seconds = 10;
   bool trace = false;
   std::string work_dir = ".";
-  double wire_dup_qps = 0;
 };
 
 std::optional<Args> ParseArgs(int argc, char** argv) {
@@ -856,8 +795,6 @@ std::optional<Args> ParseArgs(int argc, char** argv) {
       a.trace = value == "1";
     } else if (flag == "--work-dir") {
       a.work_dir = value;
-    } else if (flag == "--wire-dup-qps") {
-      a.wire_dup_qps = std::atof(value.c_str());
     } else {
       return std::nullopt;
     }
@@ -884,7 +821,7 @@ struct Bench {
 
   LoadResult Load(double seconds) {
     LoadResult r =
-        RunLoad(stack.server->port(), w, expected, seconds, order_seed);
+        RunClosedLoop(stack.server->port(), w, expected, seconds, order_seed);
     all.Merge(r);
     return r;
   }
@@ -892,6 +829,7 @@ struct Bench {
 
 Metrics EndToEnd(Bench& b, const std::vector<double>& setup_s) {
   const LoadResult r = b.Load(b.args.seconds);
+  const double peak_rss_mb = PeakRssMb();  // before the statistics' copies
   const SliceStats stats = Sliced(r);
   Metrics m;
   m.Add("qps", stats.qps, "queries/s");
@@ -900,7 +838,7 @@ Metrics EndToEnd(Bench& b, const std::vector<double>& setup_s) {
   m.Add("recall", Ratio(r.recall_sum, r.ok), "fraction");
   m.Add("ok_frac", Ratio(r.ok, r.attempted), "fraction");
   m.Add("setup_s", Median(setup_s), "s");
-  m.Add("peak_rss_mb", PeakRssMb(), "MB");
+  m.Add("peak_rss_mb", peak_rss_mb, "MB");
   b.info.Add("completed", std::to_string(r.ok));
   b.info.Add("slice_p99_ms", JsonArray(stats.slice_p99_ms, JsonNumber));
   if (r.ok < kMinSliceSamples) {
@@ -946,6 +884,10 @@ Metrics PerLayer(Bench& b) {
     }
     for (const QueryCounters& c : first.value()) counts += c;
     counted = static_cast<double>(first.value().size());
+    char digest[17];
+    std::snprintf(digest, sizeof(digest), "%016llx",
+                  static_cast<unsigned long long>(CountsDigest(first.value())));
+    b.info.Add("counts_digest", JsonString(digest));
   }
   const auto per_q = [&](uint64_t v) { return Ratio(v, counted); };
   const auto [ns_full, ns_ea] = KernelNsPerEval(*b.stack.data);
@@ -989,7 +931,6 @@ Metrics PerLayer(Bench& b) {
         "count");
   m.Add("trace.overhead_frac", 1.0 - Ratio(traced.Qps(), plain.Qps(), 1.0),
         "fraction");
-  m.Add("gen.lag_ms.p99", Percentile(traced.gen_lag_ms, 0.99), "ms");
   b.info.Add("completed", std::to_string(traced.ok));
   b.info.Add("span_file", JsonString(span_path));
   b.info.Add("spans", std::to_string(spans.size()));
@@ -1026,12 +967,9 @@ double SecondsSince(uint64_t start_ns) { return (NowNs() - start_ns) * 1e-9; }
 
 int Run(const Args& args) {
   const std::optional<Workload> workload =
-      MakeWorkload(args.workload, args.wire_dup_qps);
+      MakeWorkload(args.workload);
   if (!workload.has_value()) return Fail("unknown workload " + args.workload);
   const Workload& w = *workload;
-  if (w.name == "wire-dup" && w.open_loop_qps <= 0) {
-    return Fail("wire-dup needs --wire-dup-qps");
-  }
   const PinnedEnv env = PinEnvironment(w);
 
   // Inputs: the fixed collection, and query templates from the seed.
@@ -1094,7 +1032,8 @@ int Run(const Args& args) {
 #endif
   b.info.Add("series", std::to_string(w.num_series));
   b.info.Add("templates", std::to_string(w.distinct_queries));
-  b.info.Add("open_loop_qps", JsonNumber(w.open_loop_qps));
+  b.info.Add("connections", std::to_string(w.connections));
+  b.info.Add("outstanding", std::to_string(w.outstanding));
   b.info.Add("setup_s", JsonArray(setup_s, JsonNumber));
   b.info.Add("reference_s", JsonNumber(reference_s));
   b.info.Add("truth_s", JsonNumber(truth_s));
@@ -1127,7 +1066,7 @@ int main(int argc, char** argv) {
   if (!args.has_value()) {
     std::fprintf(stderr,
                  "usage: hydra_perfbench --workload W --seed N --seconds S "
-                 "--trace 0|1 --work-dir DIR [--wire-dup-qps R]\n");
+                 "--trace 0|1 --work-dir DIR\n");
     return 2;
   }
   return perfbench::Run(*args);

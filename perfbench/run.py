@@ -4,7 +4,7 @@
 Usage, from the root of a checkout:
 
     python3 perfbench/run.py --workload disk-exact --seed 1 --seconds 25 \
-        --trace 0 --wire-dup-qps 6000
+        --trace 0
 
 Configures and builds perfbench/ (which compiles the repository's src/)
 into $CARGO_TARGET_DIR or .bench_build/, then runs one measurement. Build
@@ -45,7 +45,6 @@ def main():
     parser.add_argument("--seed", type=int, required=True)
     parser.add_argument("--seconds", type=float, required=True)
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
-    parser.add_argument("--wire-dup-qps", type=float, default=0)
     args = parser.parse_args()
 
     build_root = os.path.abspath(os.environ.get("CARGO_TARGET_DIR")
@@ -59,7 +58,7 @@ def main():
 
     cmd = [binary, "--workload", args.workload, "--seed", str(args.seed),
            "--seconds", repr(args.seconds), "--trace", str(args.trace),
-           "--work-dir", work_dir, "--wire-dup-qps", repr(args.wire_dup_qps)]
+           "--work-dir", work_dir]
     try:
         proc = subprocess.run(cmd, stdout=subprocess.PIPE, text=True,
                               timeout=RUN_TIMEOUT_S)

@@ -99,7 +99,7 @@ class ScopedSpan {
 };
 
 // Records a span whose interval was measured by the caller (the client
-// side, where an open-loop query's start is its scheduled send time).
+// side, from a query's Submit to its reply).
 void RecordSpan(const char* name, uint64_t request_id, uint64_t start_ns,
                 uint64_t end_ns);
 
