@@ -17,16 +17,19 @@
 // span file to the work directory and reports the per-layer metrics.
 
 #include <fcntl.h>
+#include <sched.h>
 #include <sys/resource.h>
 #include <unistd.h>
 
 #include <algorithm>
 #include <cmath>
+#include <condition_variable>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <deque>
 #include <memory>
+#include <mutex>
 #include <optional>
 #include <string>
 #include <thread>
@@ -72,7 +75,11 @@ constexpr double kSetupBudgetS = 1.0;
 // a per-seed collection, the DSTree's shape moved disk-exact's qps by
 // about 10% from seed to seed, more than the program's own noise.
 constexpr uint64_t kCollectionStream = 1;
-constexpr double kWarmupSeconds = 0.5;
+constexpr double kWarmupSeconds = 2.0;
+// Series in the in-memory collection of mem-approx and wire-dup: 10 MB.
+// With 200,000 (100 MB), a query's reads waited on DRAM, and qps followed
+// the shared host's memory speed, up to threefold within an hour.
+constexpr size_t kMemorySeries = 20000;
 constexpr size_t kCountingQueries = 32;
 
 // ---------------------------------------------------------------------------
@@ -107,13 +114,13 @@ std::optional<Workload> MakeWorkload(const std::string& name) {
     w.page_series = 16;
     w.pool_pages = 8;
   } else if (name == "mem-approx") {
-    w.num_series = 200000;
-    w.distinct_queries = 512;
+    w.num_series = kMemorySeries;
+    w.distinct_queries = 2048;
     w.params.mode = hydra::SearchMode::kDeltaEpsilon;
     w.params.epsilon = 1.0;
     w.params.delta = 1.0;
   } else if (name == "wire-dup") {
-    w.num_series = 200000;
+    w.num_series = kMemorySeries;
     w.distinct_queries = 2048;
     w.params.mode = hydra::SearchMode::kNgApproximate;
     w.params.nprobe = 1;
@@ -155,6 +162,75 @@ PinnedEnv PinEnvironment(const Workload& w) {
     setenv(name.c_str(), value.c_str(), 1);
   }
   return env;
+}
+
+// ---------------------------------------------------------------------------
+// Thread placement.
+// ---------------------------------------------------------------------------
+
+// The CPUs of the load, split in two: each of the server's query workers
+// gets a CPU of its own, and every other thread of the load (client
+// connections, the server's socket threads) shares the rest. In twelve
+// interleaved runs of mem-approx on 200,000 series, two left to the kernel
+// ran 20-40% slower from start to end, and none with this placement.
+struct Placement {
+  std::vector<int> all;      // the CPUs the process may use
+  std::vector<int> workers;  // one per server query worker; empty = unpinned
+  std::vector<int> front;    // every other thread of the load
+};
+
+std::vector<int> AllowedCpus() {
+  cpu_set_t set;
+  CPU_ZERO(&set);
+  std::vector<int> cpus;
+  if (sched_getaffinity(0, sizeof(set), &set) != 0) return cpus;
+  for (int c = 0; c < CPU_SETSIZE; ++c) {
+    if (CPU_ISSET(c, &set)) cpus.push_back(c);
+  }
+  return cpus;
+}
+
+// Workers on the last CPUs, the rest in front. Without a CPU to spare
+// for the front, nothing is pinned.
+Placement PlanPlacement(size_t workers) {
+  Placement p;
+  p.all = AllowedCpus();
+  if (p.all.size() <= workers) return p;
+  p.front.assign(p.all.begin(), p.all.end() - workers);
+  p.workers.assign(p.all.end() - workers, p.all.end());
+  return p;
+}
+
+// Restricts the calling thread to `cpus`; threads it starts inherit them.
+void PinCallingThread(const std::vector<int>& cpus) {
+  if (cpus.empty()) return;
+  cpu_set_t set;
+  CPU_ZERO(&set);
+  for (int c : cpus) CPU_SET(c, &set);
+  sched_setaffinity(0, sizeof(set), &set);
+}
+
+// Moves each worker of `pool` to a CPU of its own. One task per worker
+// waits at a barrier until all have started, so no worker runs two.
+void PinWorkers(hydra::ThreadPool& pool, const std::vector<int>& cpus) {
+  if (cpus.size() != pool.num_threads()) return;
+  std::mutex mu;
+  std::condition_variable cv;
+  size_t started = 0;
+  size_t pinned = 0;
+  for (size_t i = 0; i < cpus.size(); ++i) {
+    pool.SubmitTo(i, [&] {
+      std::unique_lock<std::mutex> lock(mu);
+      const int cpu = cpus[started++];
+      cv.notify_all();
+      cv.wait(lock, [&] { return started == cpus.size(); });
+      PinCallingThread({cpu});
+      ++pinned;
+      cv.notify_all();
+    });
+  }
+  std::unique_lock<std::mutex> lock(mu);
+  cv.wait(lock, [&] { return pinned == cpus.size(); });
 }
 
 // ---------------------------------------------------------------------------
@@ -236,6 +312,7 @@ struct Stack {
   hydra::SeriesProvider* provider = nullptr;
   std::unique_ptr<hydra::Index> index;
   std::unique_ptr<TracedIndex> traced_index;
+  std::unique_ptr<hydra::ThreadPool> workers;  // the server's query threads
   std::unique_ptr<hydra::HydraServer> server;
 };
 
@@ -249,6 +326,7 @@ hydra::BuildOptions IndexOptions() {
 // server: the work setup_s times. `traced` puts the layer wrappers in.
 hydra::Result<std::unique_ptr<Stack>> SetUp(const Dataset& generated,
                                             const Workload& w,
+                                            const Placement& placement,
                                             const std::string& path,
                                             bool traced) {
   auto s = std::make_unique<Stack>();
@@ -277,11 +355,22 @@ hydra::Result<std::unique_ptr<Stack>> SetUp(const Dataset& generated,
     s->traced_index = std::make_unique<TracedIndex>(*s->index);
     served = s->traced_index.get();
   }
+  // One worker per query the server may run at once. On the shared
+  // process-wide pool, queries hopped between more threads than run at
+  // once, and mem-approx's qps moved about 10% more from run to run.
+  s->workers = std::make_unique<hydra::ThreadPool>(w.connections *
+                                                   w.server_concurrency);
+  PinWorkers(*s->workers, placement.workers);
   hydra::ServerOptions options;
   options.serving.concurrency = w.server_concurrency;
   options.serving.batch_window = w.batch_window;
-  HYDRA_ASSIGN_OR_RETURN(
-      s->server, hydra::HydraServer::Start(*served, s->provider, options));
+  options.serving.pool = s->workers.get();
+  // The server's socket threads inherit the CPUs of the thread that
+  // starts it.
+  if (!placement.workers.empty()) PinCallingThread(placement.front);
+  auto server = hydra::HydraServer::Start(*served, s->provider, options);
+  PinCallingThread(placement.all);
+  HYDRA_ASSIGN_OR_RETURN(s->server, std::move(server));
   return s;
 }
 
@@ -316,7 +405,7 @@ hydra::Result<std::vector<KnnAnswer>> ReferenceAnswers(
 }
 
 // Writes the series file's dirty pages back now, so the kernel's delayed
-// writeback of about 100 MB does not land inside the measured window.
+// writeback does not land inside the measured window.
 void FlushToDisk(const std::string& path) {
   const int fd = ::open(path.c_str(), O_RDONLY);
   if (fd < 0) return;
@@ -335,9 +424,9 @@ struct Expected {
 };
 
 struct LoadResult {
-  // Per OK query, as floats to keep the benchmark's own footprint out of
-  // peak_rss_mb: client-observed latency, and completion time in seconds
-  // since start_ns.
+  // Per OK query, as floats to keep the benchmark's own footprint small:
+  // client-observed latency, and completion time in seconds since
+  // start_ns.
   std::vector<float> latency_ms;
   std::vector<float> done_s;
   uint64_t attempted = 0;
@@ -419,7 +508,8 @@ void AddCoalesced(hydra::HydraClient& client, LoadResult* r) {
 // Closed loop: each connection keeps `outstanding` queries in flight and
 // sends the next one when the oldest has come back. Replies arrive in
 // submission order, so each is timed from its own Submit.
-LoadResult RunClosedLoop(uint16_t port, const Workload& w, const Expected& e,
+LoadResult RunClosedLoop(uint16_t port, const Workload& w,
+                         const Placement& placement, const Expected& e,
                          double seconds, uint64_t order_seed) {
   const uint64_t start = NowNs();
   const uint64_t end = start + static_cast<uint64_t>(seconds * 1e9);
@@ -429,6 +519,7 @@ LoadResult RunClosedLoop(uint16_t port, const Workload& w, const Expected& e,
   for (size_t c = 0; c < w.connections; ++c) {
     threads.emplace_back([&, c] {
       LoadResult& r = per[c];
+      if (!placement.workers.empty()) PinCallingThread(placement.front);
       auto client = Connect(port, &r);
       if (client == nullptr) return;
       const std::vector<uint32_t> order = TiledOrder(
@@ -648,6 +739,20 @@ double PeakRssMb() {
   return usage.ru_maxrss / 1024.0;  // ru_maxrss is in KiB on Linux
 }
 
+// Anonymous memory the process holds in transparent huge pages, which
+// shows whether run.py's malloc tunable took effect.
+double AnonHugeMb() {
+  std::FILE* f = std::fopen("/proc/self/smaps_rollup", "r");
+  if (f == nullptr) return 0;
+  char line[256];
+  double kb = 0;
+  while (std::fgets(line, sizeof(line), f) != nullptr) {
+    if (std::sscanf(line, "AnonHugePages: %lf kB", &kb) == 1) break;
+  }
+  std::fclose(f);
+  return kb / 1024.0;
+}
+
 std::string JsonString(const std::string& s) {
   std::string out = "\"";
   for (char c : s) {
@@ -805,12 +910,13 @@ std::optional<Args> ParseArgs(int argc, char** argv) {
 
 // Everything a measurement phase needs.
 struct Bench {
-  Bench(const Args& a, const Workload& wl, Stack& s, const Expected& e,
-        uint64_t seed)
-      : args(a), w(wl), stack(s), expected(e), order_seed(seed) {}
+  Bench(const Args& a, const Workload& wl, const Placement& p, Stack& s,
+        const Expected& e, uint64_t seed)
+      : args(a), w(wl), placement(p), stack(s), expected(e), order_seed(seed) {}
 
   const Args& args;
   const Workload& w;
+  const Placement& placement;
   Stack& stack;
   const Expected& expected;
   uint64_t order_seed;
@@ -820,16 +926,20 @@ struct Bench {
   JsonObject info;
 
   LoadResult Load(double seconds) {
-    LoadResult r =
-        RunClosedLoop(stack.server->port(), w, expected, seconds, order_seed);
+    LoadResult r = RunClosedLoop(stack.server->port(), w, placement, expected,
+                                 seconds, order_seed);
     all.Merge(r);
     return r;
   }
 };
 
-Metrics EndToEnd(Bench& b, const std::vector<double>& setup_s) {
+// `peak_rss_mb` is read when the warm-up has ended: the program has been
+// set up and has served the load, but the measured load's per-query
+// samples, about 5 MB on mem-approx and rounded to 2 MB huge pages, are
+// not yet held. Read after the load, it moved 40-45 MB from run to run.
+Metrics EndToEnd(Bench& b, const std::vector<double>& setup_s,
+                 double peak_rss_mb) {
   const LoadResult r = b.Load(b.args.seconds);
-  const double peak_rss_mb = PeakRssMb();  // before the statistics' copies
   const SliceStats stats = Sliced(r);
   Metrics m;
   m.Add("qps", stats.qps, "queries/s");
@@ -840,6 +950,7 @@ Metrics EndToEnd(Bench& b, const std::vector<double>& setup_s) {
   m.Add("setup_s", Median(setup_s), "s");
   m.Add("peak_rss_mb", peak_rss_mb, "MB");
   b.info.Add("completed", std::to_string(r.ok));
+  b.info.Add("anon_huge_mb", JsonNumber(AnonHugeMb()));
   b.info.Add("slice_p99_ms", JsonArray(stats.slice_p99_ms, JsonNumber));
   if (r.ok < kMinSliceSamples) {
     b.warnings.push_back("fewer than 1000 completed queries: p99 is thin");
@@ -971,6 +1082,8 @@ int Run(const Args& args) {
   if (!workload.has_value()) return Fail("unknown workload " + args.workload);
   const Workload& w = *workload;
   const PinnedEnv env = PinEnvironment(w);
+  const Placement placement =
+      PlanPlacement(w.connections * w.server_concurrency);
 
   // Inputs: the fixed collection, and query templates from the seed.
   const Dataset generated =
@@ -990,7 +1103,7 @@ int Run(const Args& args) {
           SecondsSince(setups_t0) < kSetupBudgetS)) {
     stack.reset();
     const uint64_t t0 = NowNs();
-    auto built = SetUp(generated, w, series_path, args.trace);
+    auto built = SetUp(generated, w, placement, series_path, args.trace);
     if (!built.ok()) return Fail("setup: " + built.status().ToString());
     setup_s.push_back(SecondsSince(t0));
     stack = std::move(built).value();
@@ -1010,7 +1123,7 @@ int Run(const Args& args) {
   const double truth_s = SecondsSince(truth_t0);
   const Expected expected{&queries, &reference.value(), &truth};
 
-  Bench b(args, w, *stack, expected, StreamSeed(args.seed, 3));
+  Bench b(args, w, placement, *stack, expected, StreamSeed(args.seed, 3));
   b.info.Add("workload", JsonString(w.name));
   b.info.Add("seed", std::to_string(args.seed));
   b.info.Add("seconds", JsonNumber(args.seconds));
@@ -1023,8 +1136,11 @@ int Run(const Args& args) {
   b.info.Add("env_cleared", JsonArray(env.cleared, JsonString));
   b.info.Add("simd", JsonString(hydra::ActiveKernels().name));
   b.info.Add("nproc", std::to_string(std::thread::hardware_concurrency()));
-  b.info.Add("pool_threads",
-             std::to_string(hydra::ThreadPool::Global().num_threads()));
+  b.info.Add("pool_threads", std::to_string(stack->workers->num_threads()));
+  b.info.Add("worker_cpus", JsonArray(placement.workers, JsonNumber));
+  b.info.Add("front_cpus", JsonArray(placement.front, JsonNumber));
+  const char* tunables = getenv("GLIBC_TUNABLES");
+  b.info.Add("glibc_tunables", JsonString(tunables != nullptr ? tunables : ""));
 #if defined(__clang__)
   b.info.Add("compiler", JsonString("clang " __clang_version__));
 #elif defined(__GNUC__)
@@ -1039,8 +1155,10 @@ int Run(const Args& args) {
   b.info.Add("truth_s", JsonNumber(truth_s));
 
   b.Load(kWarmupSeconds);
+  const double peak_rss_mb = PeakRssMb();
   b.order_seed = StreamSeed(args.seed, 4);
-  const Metrics metrics = args.trace ? PerLayer(b) : EndToEnd(b, setup_s);
+  const Metrics metrics =
+      args.trace ? PerLayer(b) : EndToEnd(b, setup_s, peak_rss_mb);
   CheckGate(b);
   b.info.Add("problems", JsonArray(b.problems, JsonString));
   b.info.Add("warnings", JsonArray(b.warnings, JsonString));
