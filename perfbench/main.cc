@@ -355,9 +355,9 @@ hydra::Result<std::unique_ptr<Stack>> SetUp(const Dataset& generated,
     s->traced_index = std::make_unique<TracedIndex>(*s->index);
     served = s->traced_index.get();
   }
-  // One worker per query the server may run at once. On the shared
-  // process-wide pool, queries hopped between more threads than run at
-  // once, and mem-approx's qps moved about 10% more from run to run.
+  // One worker per query the server may run at once. On the 4-worker
+  // process-wide pool, mem-approx on 200,000 series served about 9% fewer
+  // queries/s in interleaved runs.
   s->workers = std::make_unique<hydra::ThreadPool>(w.connections *
                                                    w.server_concurrency);
   PinWorkers(*s->workers, placement.workers);
