@@ -1,9 +1,14 @@
 #include "storage/series_file.h"
 
+#include <fcntl.h>
+#include <sys/stat.h>
+#include <unistd.h>
+
 #include <cerrno>
 #include <chrono>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <thread>
 
 #include "common/crc32.h"
@@ -32,6 +37,33 @@ IoContext Ctx(const std::string& path, uint64_t offset, int err = 0) {
   ctx.offset = offset;
   ctx.sys_errno = err;
   return ctx;
+}
+
+// Outcome of PreadFull: `got` bytes arrived; `err` is the errno that
+// stopped it early, or 0 when it reached end of file (or finished).
+struct PreadOutcome {
+  size_t got = 0;
+  int err = 0;
+};
+
+// Reads `bytes` at `offset`, retrying on EINTR and on partial reads, so a
+// short count means end of file (err 0) or a device error (err set).
+PreadOutcome PreadFull(int fd, void* buf, size_t bytes, uint64_t offset) {
+  PreadOutcome outcome;
+  auto* dst = static_cast<char*>(buf);
+  while (outcome.got < bytes) {
+    const ssize_t n = ::pread(fd, dst + outcome.got, bytes - outcome.got,
+                              static_cast<off_t>(offset + outcome.got));
+    if (n > 0) {
+      outcome.got += static_cast<size_t>(n);
+    } else if (n == 0) {
+      break;
+    } else if (errno != EINTR) {
+      outcome.err = errno;
+      break;
+    }
+  }
+  return outcome;
 }
 
 std::string ErrnoDetail(int err) {
@@ -69,9 +101,17 @@ Status WriteSeriesFile(const std::string& path, const Dataset& dataset) {
     ok = std::fwrite(checksums.data(), sizeof(uint32_t), checksums.size(),
                      f) == checksums.size();
   }
-  std::fclose(f);
+  // Buffered writes can fail only at the final flush (a full disk takes
+  // the whole file into the stdio buffer first), so fclose's verdict
+  // counts as much as fwrite's. errno is captured before fclose can
+  // overwrite it.
+  ok = ok && std::ferror(f) == 0;
+  int err = ok ? 0 : errno;
+  if (std::fclose(f) != 0 && ok) {
+    ok = false;
+    err = errno;
+  }
   if (!ok) {
-    const int err = errno;
     return Status::IoError("short write: " + path + ErrnoDetail(err))
         .WithIoContext(Ctx(path, 0, err));
   }
@@ -80,25 +120,27 @@ Status WriteSeriesFile(const std::string& path, const Dataset& dataset) {
 
 Result<std::unique_ptr<SeriesFileReader>> SeriesFileReader::Open(
     const std::string& path) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) {
+  const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+  if (fd < 0) {
     const int err = errno;
     return Status::IoError("cannot open for read: " + path + ErrnoDetail(err))
         .WithIoContext(Ctx(path, 0, err));
   }
   uint64_t head[4];
-  if (std::fread(head, sizeof(head), 1, f) != 1) {
-    std::fclose(f);
-    return Status::IoError("short header read: " + path)
-        .WithIoContext(Ctx(path, 0));
+  PreadOutcome read = PreadFull(fd, head, sizeof(head), 0);
+  if (read.got != sizeof(head)) {
+    ::close(fd);
+    return Status::IoError("short header read: " + path +
+                           ErrnoDetail(read.err))
+        .WithIoContext(Ctx(path, 0, read.err));
   }
   if (head[0] != SeriesFileHeader::kMagic) {
-    std::fclose(f);
+    ::close(fd);
     return Status::InvalidArgument("bad magic in " + path)
         .WithIoContext(Ctx(path, 0));
   }
   if (head[1] != 1 && head[1] != SeriesFileHeader::kVersion) {
-    std::fclose(f);
+    ::close(fd);
     return Status::InvalidArgument("unsupported version " +
                                    std::to_string(head[1]) + " in " + path)
         .WithIoContext(Ctx(path, 0));
@@ -106,38 +148,66 @@ Result<std::unique_ptr<SeriesFileReader>> SeriesFileReader::Open(
   SeriesFileHeader header;
   header.num_series = head[2];
   header.length = head[3];
+  // The header is outside input: sizes whose byte offsets do not fit a
+  // file offset would make every later offset computation wrap.
+  uint64_t stride = 0;
+  uint64_t payload = 0;
+  if (__builtin_mul_overflow(header.length, sizeof(float), &stride) ||
+      __builtin_mul_overflow(header.num_series, stride, &payload) ||
+      payload > static_cast<uint64_t>(std::numeric_limits<off_t>::max()) -
+                    kHeaderBytes) {
+    ::close(fd);
+    return Status::InvalidArgument("series file header sizes overflow: " +
+                                   std::to_string(header.num_series) + " x " +
+                                   std::to_string(header.length) + " in " +
+                                   path)
+        .WithIoContext(Ctx(path, 0));
+  }
   // Version 2 carries the checksum footer after the payload; load it up
-  // front so every ReadSeries can verify without extra seeks. Version-1
+  // front so every ReadSeries can verify without extra reads. Version-1
   // files leave `checksums` empty and skip verification.
   std::vector<uint32_t> checksums;
   if (head[1] >= 2 && header.num_series > 0) {
-    const uint64_t footer_at =
-        kHeaderBytes +
-        header.num_series * header.length * sizeof(float);
-    checksums.resize(header.num_series);
-    if (std::fseek(f, static_cast<long>(footer_at), SEEK_SET) != 0 ||
-        std::fread(checksums.data(), sizeof(uint32_t), checksums.size(), f) !=
-            checksums.size()) {
-      std::fclose(f);
+    const uint64_t footer_at = kHeaderBytes + payload;
+    // A footer the file cannot hold fails like a short read, before a
+    // corrupt series count can size the allocation.
+    struct stat info;
+    const int stat_err = ::fstat(fd, &info) != 0 ? errno : 0;
+    const uint64_t file_bytes =
+        stat_err == 0 ? static_cast<uint64_t>(info.st_size) : 0;
+    if (stat_err != 0 || file_bytes < footer_at ||
+        (file_bytes - footer_at) / sizeof(uint32_t) < header.num_series) {
+      ::close(fd);
       return Status::IoError("short checksum footer read: " +
-                             At(path, footer_at))
-          .WithIoContext(Ctx(path, footer_at));
+                             At(path, footer_at) + ErrnoDetail(stat_err))
+          .WithIoContext(Ctx(path, footer_at, stat_err));
+    }
+    checksums.resize(header.num_series);
+    const size_t want = checksums.size() * sizeof(uint32_t);
+    read = PreadFull(fd, checksums.data(), want, footer_at);
+    if (read.got != want) {
+      ::close(fd);
+      return Status::IoError("short checksum footer read: " +
+                             At(path, footer_at) + ErrnoDetail(read.err))
+          .WithIoContext(Ctx(path, footer_at, read.err));
     }
   }
   return std::unique_ptr<SeriesFileReader>(new SeriesFileReader(
-      f, header, path, std::move(checksums), SimIoDelayUs()));
+      fd, header, path, std::move(checksums), SimIoDelayUs()));
 }
 
 SeriesFileReader::~SeriesFileReader() {
-  if (file_ != nullptr) std::fclose(file_);
+  if (fd_ >= 0) ::close(fd_);
 }
 
 Status SeriesFileReader::ReadSeries(uint64_t first, uint64_t count,
                                     float* out, QueryCounters* counters) {
-  if (first + count > header_.num_series) {
+  // Written so that no sum can wrap: `first + count` overflows for a
+  // huge count and would pass a naive bound.
+  if (first > header_.num_series || count > header_.num_series - first) {
     return Status::OutOfRange(
-        "read past end of series file: series [" + std::to_string(first) +
-        ", " + std::to_string(first + count) + ") of " +
+        "read past end of series file: " + std::to_string(count) +
+        " series from series " + std::to_string(first) + " of " +
         std::to_string(header_.num_series) + " in " + path_);
   }
   const uint64_t stride = header_.length * sizeof(float);
@@ -167,46 +237,35 @@ Status SeriesFileReader::ReadSeries(uint64_t first, uint64_t count,
     }
   }
   if (sim_delay_us_ > 0) {
-    // Emulated device latency, outside the mutex: concurrent issuers
-    // (demand fetch + prefetch workers) overlap their waits, as requests
-    // overlap in a real disk's queue.
+    // Emulated device latency: concurrent issuers (demand fetch +
+    // prefetch workers) overlap their waits, as requests overlap in a
+    // real disk's queue.
     std::this_thread::sleep_for(std::chrono::microseconds(sim_delay_us_));
   }
-  {
-    std::lock_guard<std::mutex> lock(io_mu_);
-    if (std::fseek(file_, static_cast<long>(offset), SEEK_SET) != 0) {
-      const int err = errno;
-      return Status::IoError("seek failed: " + At(path_, offset) +
-                             ErrnoDetail(err))
-          .WithIoContext(Ctx(path_, offset, err));
-    }
-    size_t want = static_cast<size_t>(count * header_.length);
-    size_t got = std::fread(out, sizeof(float), want, file_);
-    if (got != want) {
-      // A true end-of-file here means the file is shorter than its header
-      // claims — that never heals, so it is a plain IoError. A stream
-      // error (EINTR, EIO from a flaky device) may clear on re-read, so
-      // it surfaces as retryable Unavailable.
-      const bool at_eof = std::feof(file_) != 0;
-      const int err = at_eof ? 0 : errno;
-      std::clearerr(file_);
-      const std::string detail =
-          "short payload read: got " + std::to_string(got) + " of " +
-          std::to_string(want) + " floats, series [" + std::to_string(first) +
-          ", " + std::to_string(first + count) + ") in " + At(path_, offset) +
-          ErrnoDetail(err);
-      return (at_eof ? Status::IoError(detail) : Status::Unavailable(detail))
-          .WithIoContext(Ctx(path_, offset, err));
-    }
-    if (counters != nullptr) {
-      counters->bytes_read += count * stride;
-      counters->series_accessed += count;
-      if (!any_read_ || first != next_sequential_) {
-        ++counters->random_ios;
-      }
-    }
-    any_read_ = true;
-    next_sequential_ = first + count;
+  const size_t want = static_cast<size_t>(count * stride);
+  const PreadOutcome read = PreadFull(fd_, out, want, offset);
+  if (read.got != want) {
+    // A true end of file means the file is shorter than its header
+    // claims — that never heals, so it is a plain IoError. A device
+    // error (EIO from a flaky device) may clear on re-read, so it
+    // surfaces as retryable Unavailable.
+    const bool at_eof = read.err == 0;
+    const std::string detail =
+        "short payload read: got " + std::to_string(read.got) + " of " +
+        std::to_string(want) + " bytes, series [" + std::to_string(first) +
+        ", " + std::to_string(first + count) + ") in " + At(path_, offset) +
+        ErrnoDetail(read.err);
+    return (at_eof ? Status::IoError(detail) : Status::Unavailable(detail))
+        .WithIoContext(Ctx(path_, offset, read.err));
+  }
+  // The exchange orders concurrent reads: each is sequential iff it
+  // starts where the read exchanged just before it ended.
+  const uint64_t previous_end =
+      next_sequential_.exchange(first + count, std::memory_order_relaxed);
+  if (counters != nullptr) {
+    counters->bytes_read += count * stride;
+    counters->series_accessed += count;
+    if (previous_end != first) ++counters->random_ios;
   }
   // Injected corruption flips payload bits AFTER the (correct) disk read,
   // modeling the device lying; on version-2 files the checksum pass below

@@ -1,10 +1,9 @@
 #ifndef HYDRA_STORAGE_SERIES_FILE_H_
 #define HYDRA_STORAGE_SERIES_FILE_H_
 
+#include <atomic>
 #include <cstdint>
-#include <cstdio>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <vector>
 
@@ -36,14 +35,24 @@ namespace hydra {
 // (retryable: the buffer pool re-reads once before giving up). I/O
 // failures carry errno, file path and byte offset in the status message.
 //
-// ReadSeries is thread-safe: an internal mutex serializes the seek+read
-// pair and the sequentiality tracking, so the buffer pool's single-flight
-// page loads may run from several threads at once. (Serializing reads
-// models one disk arm; the paper's seek accounting assumes it anyway.)
+// ReadSeries is thread-safe and takes no lock: the reader holds a plain
+// file descriptor and every read is one positioned `pread` (retried on
+// EINTR and on partial reads). Concurrent reads — the buffer pool's
+// single-flight page loads, prefetch workers — share no lock and no file
+// position, and no single disk arm is modeled: they overlap in the kernel
+// as requests overlap in a device's queue. Random-I/O accounting is the
+// one shared state: each successful read atomically exchanges the "next
+// sequential series" cursor for its own end, and is charged a random_ios
+// when the cursor it took back is not its own first series. Serial reads
+// are therefore charged exactly as a single seeking reader would charge
+// them; concurrent reads are charged in the order of their exchanges. The
+// counters a call charges are the caller's own (QueryCounters is
+// single-writer).
 //
 // Emulated latency: HYDRA_SIM_IO_DELAY_US (microseconds per ReadSeries
-// call, default 0 = off) injects a sleep BEFORE the mutex, emulating a
-// storage device whose request latency overlaps across issuers. On dev
+// call, default 0 = off) sleeps in the calling thread right before its
+// pread, emulating a storage device whose request latency overlaps
+// across issuers. On dev
 // boxes and CI the "disk" is the page cache — reads cost nanoseconds and
 // nothing overlaps — so this is the honest way to study I/O-bound
 // behavior (the async prefetch pipeline, pool thrashing) on such
@@ -87,10 +96,14 @@ class SeriesFileReader {
   bool verifies_checksums() const { return !checksums_.empty(); }
 
   // Reads series [first, first + count) into `out` (count × length
-  // floats). Charges bytes_read always, and one random_ios when the range
-  // does not start where the previous read ended. On a version-2 file the
-  // payload is verified against the checksum footer; a mismatch returns
-  // Status::DataCorruption and the contents of `out` are unspecified.
+  // floats); a range past the end is OutOfRange. On success charges
+  // bytes_read and series_accessed, and one random_ios when the range
+  // does not start where the previous read ended. A file shorter than
+  // its header claims is a non-retryable IoError; any other read error
+  // is a retryable Unavailable; both carry path, offset and errno. On a
+  // version-2 file the payload is verified against the checksum footer;
+  // a mismatch returns Status::DataCorruption and the contents of `out`
+  // are unspecified.
   Status ReadSeries(uint64_t first, uint64_t count, float* out,
                     QueryCounters* counters);
 
@@ -108,24 +121,27 @@ class SeriesFileReader {
   const FaultInjector& fault_injector() const { return *injector_; }
 
  private:
-  SeriesFileReader(std::FILE* file, SeriesFileHeader header, std::string path,
+  SeriesFileReader(int fd, SeriesFileHeader header, std::string path,
                    std::vector<uint32_t> checksums, uint64_t sim_delay_us)
-      : file_(file),
+      : fd_(fd),
         header_(header),
         path_(std::move(path)),
         checksums_(std::move(checksums)),
         sim_delay_us_(sim_delay_us),
         injector_(std::make_unique<FaultInjector>(FaultConfig::FromEnv())) {}
 
-  std::FILE* file_;
+  // Cursor value before the first read: matches no series index, so the
+  // first read is always charged a random I/O.
+  static constexpr uint64_t kNoReadYet = ~uint64_t{0};
+
+  int fd_;
   SeriesFileHeader header_;
   std::string path_;
   std::vector<uint32_t> checksums_;  // empty for version-1 files
   uint64_t sim_delay_us_;  // emulated per-read latency (see above)
   std::unique_ptr<FaultInjector> injector_;
-  std::mutex io_mu_;              // serializes seek+read+tracking below
-  uint64_t next_sequential_ = 0;  // series index right after the last read
-  bool any_read_ = false;
+  // Series index right after the last successful read (see above).
+  std::atomic<uint64_t> next_sequential_{kNoReadYet};
 };
 
 }  // namespace hydra

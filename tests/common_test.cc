@@ -1,9 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <set>
 #include <string>
+#include <vector>
 
 #include "common/counters.h"
+#include "common/crc32.h"
 #include "common/rng.h"
 #include "common/status.h"
 #include "common/timer.h"
@@ -227,6 +230,58 @@ TEST(Timer, RestartResets) {
   double first = t.ElapsedSeconds();
   t.Restart();
   EXPECT_LE(t.ElapsedSeconds(), first + 1.0);
+}
+
+// RFC 3720 (iSCSI) appendix B.4 known answers for CRC-32C.
+TEST(Crc32c, KnownAnswers) {
+  const std::vector<uint8_t> zeros(32, 0x00);
+  const std::vector<uint8_t> ones(32, 0xFF);
+  const std::string digits = "123456789";
+  EXPECT_EQ(Crc32c(zeros.data(), zeros.size()), 0x8A9136AAu);
+  EXPECT_EQ(Crc32c(ones.data(), ones.size()), 0x62A8AB43u);
+  EXPECT_EQ(Crc32c(digits.data(), digits.size()), 0xE3069283u);
+  EXPECT_EQ(Crc32c(digits.data(), 0), 0u);
+  // The portable path gives the same answers on every machine.
+  EXPECT_EQ(internal::Crc32cTable(zeros.data(), zeros.size(), 0), 0x8A9136AAu);
+  EXPECT_EQ(internal::Crc32cTable(ones.data(), ones.size(), 0), 0x62A8AB43u);
+  EXPECT_EQ(internal::Crc32cTable(digits.data(), digits.size(), 0),
+            0xE3069283u);
+}
+
+TEST(Crc32c, ChainingEqualsOneShot) {
+  const std::string digits = "123456789";
+  for (size_t split = 0; split <= digits.size(); ++split) {
+    const uint32_t head = Crc32c(digits.data(), split);
+    EXPECT_EQ(Crc32c(digits.data() + split, digits.size() - split, head),
+              0xE3069283u)
+        << "split " << split;
+  }
+}
+
+// The hardware path must compute exactly what the table path computes,
+// for every length, alignment and chained starting value.
+TEST(Crc32c, HardwareMatchesTable) {
+#if HYDRA_CRC32C_HAS_SSE42_PATH
+  if (!internal::Crc32cHardwareAvailable()) {
+    GTEST_SKIP() << "CPU lacks SSE4.2";
+  }
+  Rng rng(2024);
+  std::vector<uint8_t> buf(1024 + 8);
+  for (auto& b : buf) b = static_cast<uint8_t>(rng.NextUint64(256));
+  for (size_t len = 0; len <= 1024; ++len) {
+    for (size_t misalign = 0; misalign < 8; ++misalign) {
+      const uint8_t* p = buf.data() + misalign;
+      for (uint32_t crc : {0u, 0xFFFFFFFFu, 0x1234ABCDu}) {
+        ASSERT_EQ(internal::Crc32cSse42(p, len, crc),
+                  internal::Crc32cTable(p, len, crc))
+            << "len " << len << " misalign " << misalign << " crc " << crc;
+      }
+    }
+  }
+  EXPECT_EQ(Crc32c(buf.data(), 100), internal::Crc32cSse42(buf.data(), 100, 0));
+#else
+  GTEST_SKIP() << "no SSE4.2 path on this target";
+#endif
 }
 
 }  // namespace

@@ -1,8 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <cerrno>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
+#include <limits>
 #include <string>
+#include <thread>
+#include <vector>
 
 #include "common/rng.h"
 #include "core/generators.h"
@@ -59,6 +64,33 @@ TEST_F(StorageTest, OpenGarbageFileFailsOnMagic) {
   auto reader = SeriesFileReader::Open(path);
   EXPECT_FALSE(reader.ok());
   EXPECT_EQ(reader.status().code(), StatusCode::kInvalidArgument);
+}
+
+TEST_F(StorageTest, OpenRejectsHeaderSizesTheFileCannotHold) {
+  auto write_header = [&](const std::string& name, uint64_t version,
+                          uint64_t num_series, uint64_t length) {
+    std::string path = Path(name);
+    std::FILE* f = std::fopen(path.c_str(), "wb");
+    const uint64_t head[4] = {SeriesFileHeader::kMagic, version, num_series,
+                              length};
+    std::fwrite(head, sizeof(head), 1, f);
+    std::fclose(f);
+    return path;
+  };
+  // A version-2 footer of 2^60 checksums: typed failure, no allocation.
+  auto huge = SeriesFileReader::Open(
+      write_header("huge_v2.hsf", 2, uint64_t{1} << 60, 1));
+  ASSERT_FALSE(huge.ok());
+  EXPECT_EQ(huge.status().code(), StatusCode::kIoError);
+  // Byte sizes that wrap 64 bits.
+  auto wrap = SeriesFileReader::Open(
+      write_header("wrap_v1.hsf", 1, 4, uint64_t{1} << 62));
+  ASSERT_FALSE(wrap.ok());
+  EXPECT_EQ(wrap.status().code(), StatusCode::kInvalidArgument);
+  // A version-1 file may still promise more than it holds: reads past
+  // its end fail then (see TruncatedVersion1PayloadIsPermanentIoError).
+  EXPECT_TRUE(SeriesFileReader::Open(write_header("empty_v1.hsf", 1, 4, 8))
+                  .ok());
 }
 
 TEST_F(StorageTest, ReadPastEndRejected) {
@@ -229,6 +261,133 @@ TEST_F(StorageTest, BufferManagerRejectsZeroConfig) {
   ASSERT_TRUE(WriteSeriesFile(path, ds).ok());
   EXPECT_FALSE(BufferManager::Open(path, 0, 2).ok());
   EXPECT_FALSE(BufferManager::Open(path, 2, 0).ok());
+}
+
+TEST_F(StorageTest, WriteToFullDeviceFails) {
+  // /dev/full accepts the buffered fwrites and fails the final flush
+  // with ENOSPC, so only a checked fclose sees the error.
+  if (!std::filesystem::exists("/dev/full")) GTEST_SKIP() << "no /dev/full";
+  Rng rng(13);
+  Dataset ds = MakeRandomWalk(20, 32, rng);
+  Status st = WriteSeriesFile("/dev/full", ds);
+  ASSERT_EQ(st.code(), StatusCode::kIoError) << st.ToString();
+  ASSERT_TRUE(st.has_io_context());
+  EXPECT_EQ(st.io_context().path, "/dev/full");
+  EXPECT_EQ(st.io_context().sys_errno, ENOSPC);
+}
+
+TEST_F(StorageTest, ReadRangeThatWouldWrapRejected) {
+  Rng rng(14);
+  Dataset ds = MakeRandomWalk(4, 8, rng);
+  std::string path = Path("wrap.hsf");
+  ASSERT_TRUE(WriteSeriesFile(path, ds).ok());
+  auto reader = SeriesFileReader::Open(path);
+  ASSERT_TRUE(reader.ok());
+  std::vector<float> buf(8);
+  constexpr uint64_t kMax = std::numeric_limits<uint64_t>::max();
+  // first + count wraps to 0 here; the bound must still reject it.
+  EXPECT_EQ(reader.value()->ReadSeries(1, kMax, buf.data(), nullptr).code(),
+            StatusCode::kOutOfRange);
+  EXPECT_EQ(reader.value()->ReadSeries(kMax, 1, buf.data(), nullptr).code(),
+            StatusCode::kOutOfRange);
+  EXPECT_EQ(reader.value()->ReadSeries(5, 0, buf.data(), nullptr).code(),
+            StatusCode::kOutOfRange);
+  EXPECT_TRUE(reader.value()->ReadSeries(4, 0, buf.data(), nullptr).ok());
+}
+
+TEST_F(StorageTest, ConcurrentReadsAreByteExact) {
+  constexpr uint64_t kSeries = 200;
+  constexpr uint64_t kLength = 24;
+  constexpr int kThreads = 4;
+  constexpr int kReadsPerThread = 300;
+  Rng rng(15);
+  Dataset ds = MakeRandomWalk(kSeries, kLength, rng);
+  std::string path = Path("concurrent.hsf");
+  ASSERT_TRUE(WriteSeriesFile(path, ds).ok());
+  auto reader = SeriesFileReader::Open(path);
+  ASSERT_TRUE(reader.ok());
+  ASSERT_TRUE(reader.value()->verifies_checksums());
+
+  std::vector<QueryCounters> counters(kThreads);
+  std::vector<int> mismatches(kThreads, 0);
+  std::vector<int> failures(kThreads, 0);
+  std::vector<uint64_t> series_read(kThreads, 0);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      std::vector<float> buf(16 * kLength);
+      for (int i = 0; i < kReadsPerThread; ++i) {
+        // Ranges of 1..16 series that overlap across threads.
+        const uint64_t count = 1 + (i * 7 + t) % 16;
+        const uint64_t first = (i * 13 + t * 5) % (kSeries - count + 1);
+        Status st = reader.value()->ReadSeries(first, count, buf.data(),
+                                               &counters[t]);
+        if (!st.ok()) {
+          ++failures[t];
+          continue;
+        }
+        series_read[t] += count;
+        if (std::memcmp(buf.data(), ds.series(first).data(),
+                        count * kLength * sizeof(float)) != 0) {
+          ++mismatches[t];
+        }
+      }
+    });
+  }
+  for (auto& th : threads) th.join();
+  uint64_t random_ios = 0;
+  for (int t = 0; t < kThreads; ++t) {
+    EXPECT_EQ(failures[t], 0) << "thread " << t;
+    EXPECT_EQ(mismatches[t], 0) << "thread " << t;
+    EXPECT_EQ(counters[t].series_accessed, series_read[t]);
+    EXPECT_EQ(counters[t].bytes_read,
+              series_read[t] * kLength * sizeof(float));
+    random_ios += counters[t].random_ios;
+  }
+  EXPECT_GE(random_ios, 1u);
+  EXPECT_LE(random_ios, uint64_t{kThreads} * kReadsPerThread);
+}
+
+TEST_F(StorageTest, TruncatedVersion1PayloadIsPermanentIoError) {
+  // A version-1 file (no footer) whose payload stops after 6 of the 10
+  // series its header claims.
+  constexpr uint64_t kLength = 8;
+  std::string path = Path("truncated_v1.hsf");
+  {
+    std::FILE* f = std::fopen(path.c_str(), "wb");
+    ASSERT_NE(f, nullptr);
+    const uint64_t head[4] = {SeriesFileHeader::kMagic, 1, 10, kLength};
+    ASSERT_EQ(std::fwrite(head, sizeof(head), 1, f), 1u);
+    std::vector<float> payload(6 * kLength, 1.5f);
+    ASSERT_EQ(std::fwrite(payload.data(), sizeof(float), payload.size(), f),
+              payload.size());
+    ASSERT_EQ(std::fclose(f), 0);
+  }
+  auto reader = SeriesFileReader::Open(path);
+  ASSERT_TRUE(reader.ok()) << reader.status().ToString();
+  EXPECT_FALSE(reader.value()->verifies_checksums());
+  std::vector<float> buf(4 * kLength);
+  ASSERT_TRUE(reader.value()->ReadSeries(2, 4, buf.data(), nullptr).ok());
+  // Series [4, 8): two exist, then the file ends.
+  Status st = reader.value()->ReadSeries(4, 4, buf.data(), nullptr);
+  EXPECT_EQ(st.code(), StatusCode::kIoError) << st.ToString();
+  EXPECT_FALSE(st.IsRetryable());
+  ASSERT_TRUE(st.has_io_context());
+  EXPECT_EQ(st.io_context().path, path);
+  EXPECT_EQ(st.io_context().offset, 32u + 4 * kLength * sizeof(float));
+  EXPECT_EQ(st.io_context().sys_errno, 0);
+
+  // The buffer pool must not retry an end of file.
+  auto bm = BufferManager::Open(path, /*page_series=*/4,
+                                /*capacity_pages=*/2);
+  ASSERT_TRUE(bm.ok());
+  QueryCounters c;
+  auto run = bm.value()->PinSeriesChecked(9, &c);
+  ASSERT_FALSE(run.ok());
+  EXPECT_EQ(run.status().code(), StatusCode::kIoError);
+  EXPECT_EQ(bm.value()->io_retries(), 0u);
+  EXPECT_EQ(c.io_retries, 0u);
+  EXPECT_TRUE(bm.value()->PinSeriesChecked(1, &c).ok());
 }
 
 }  // namespace
